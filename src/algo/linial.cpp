@@ -3,13 +3,16 @@
 #include "core/registry.hpp"
 #include "lcl/problems/coloring.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "algo/color_reduce.hpp"
 #include "local/message_engine.hpp"
 #include "support/check.hpp"
+#include "support/divider.hpp"
 
 namespace padlock {
 
@@ -27,22 +30,37 @@ std::uint64_t next_prime(std::uint64_t x) {
   return x;
 }
 
-/// Parameters of one reduction step from K colors at degree Δ: polynomial
-/// degree k and field size q with q^{k+1} >= K and q > k·Δ.
-struct StepParams {
-  std::uint64_t q = 0;
-  int k = 0;
-};
+/// Smallest r >= 1 with r^e >= K (exact, from a floating-point guess).
+std::uint64_t ceil_root(std::uint64_t K, int e) {
+  auto pow_lt_K = [&](std::uint64_t r) {
+    std::uint64_t p = 1;
+    for (int i = 0; i < e; ++i)
+      if (__builtin_mul_overflow(p, r, &p)) return false;
+    return p < K;
+  };
+  auto r = static_cast<std::uint64_t>(
+      std::pow(static_cast<double>(K), 1.0 / static_cast<double>(e)));
+  r = std::max<std::uint64_t>(r, 1);
+  while (r > 1 && !pow_lt_K(r - 1)) --r;
+  while (pow_lt_K(r)) ++r;
+  return r;
+}
 
-StepParams step_params(std::uint64_t K, int max_degree) {
+}  // namespace
+
+LinialStep linial_step_params(std::uint64_t K, int max_degree) {
   // Prefer the smallest k with a small field; k = 1 suffices once K is
   // small, larger K wants larger k so q stays near k·Δ.
-  StepParams best;
+  LinialStep best;
   for (int k = 1; k <= 12; ++k) {
-    std::uint64_t q = next_prime(static_cast<std::uint64_t>(k) *
-                                     static_cast<std::uint64_t>(max_degree) +
-                                 1);
-    // Raise q until q^{k+1} >= K (q stays prime).
+    // Raise q until q^{k+1} >= K (q stays prime). No q below
+    // ceil_root(K, k+1) can pass pow_ge, so the walk over primes starts
+    // there; a sparse K (up to 2^64 - 1) would otherwise walk the
+    // ~K^{1/2} / ln K primes below that bound at k = 1.
+    std::uint64_t q = next_prime(std::max<std::uint64_t>(
+        static_cast<std::uint64_t>(k) * static_cast<std::uint64_t>(max_degree) +
+            1,
+        ceil_root(K, k + 1)));
     auto pow_ge = [&](std::uint64_t base) {
       std::uint64_t p = 1;
       for (int i = 0; i <= k; ++i) {
@@ -53,30 +71,41 @@ StepParams step_params(std::uint64_t K, int max_degree) {
       return p >= K;
     };
     while (!pow_ge(q)) q = next_prime(q + 1);
-    if (best.q == 0 || q * q < best.q * best.q) best = {q, k};
+    // The step's palette is q²; a k whose q² overflows 64 bits (k = 1
+    // for K near 2^64) cannot carry its colors. k = 2 fits for every K
+    // below 2^64 while 2Δ + 1 < 2^31, since ceil(K^{1/3}) < 2^22.
+    std::uint64_t palette = 0;
+    if (__builtin_mul_overflow(q, q, &palette)) continue;
+    if (best.q == 0 || palette < best.q * best.q) best = {q, k};
   }
   PADLOCK_ASSERT(best.q > 0);
   return best;
 }
 
-/// step_params caps k at 12, so coefficients fit a stack array — the
-/// per-round per-neighbor heap vectors of the retired loop are gone.
-constexpr int kMaxPolyDegree = 12;
-using Poly = std::array<std::uint64_t, kMaxPolyDegree + 1>;
+namespace {
 
-/// Coefficients of color c as a base-q number (degree-k polynomial).
-void poly_of(std::uint64_t c, std::uint64_t q, int k, Poly& coeff) {
-  for (int i = 0; i <= k; ++i) {
-    coeff[static_cast<std::size_t>(i)] = c % q;
-    c /= q;
-  }
+/// linial_step_params caps k at 12, so coefficients fit a stack array.
+constexpr int kMaxPolyDegree = 12;
+
+/// One scheduled step: its parameters plus the divider reducing mod q.
+struct ScheduledStep {
+  int k = 0;
+  Divider q;
+
+  explicit ScheduledStep(const LinialStep& sp) : k(sp.k), q(sp.q) {}
+};
+
+/// Coefficients of color c as a base-q number (degree-k polynomial),
+/// written to coeff[0..k].
+void poly_of(std::uint64_t c, const ScheduledStep& st, std::uint64_t* coeff) {
+  for (int i = 0; i <= st.k; ++i) c = st.q.divide(c, coeff[i]);
 }
 
-std::uint64_t eval_poly(const Poly& coeff, int k, std::uint64_t x,
-                        std::uint64_t q) {
+/// p(x) mod q by Horner's rule, reducing every step.
+std::uint64_t eval_poly(const std::uint64_t* coeff, const ScheduledStep& st,
+                        std::uint64_t x) {
   std::uint64_t acc = 0;
-  for (int i = k; i >= 0; --i)
-    acc = (acc * x + coeff[static_cast<std::size_t>(i)]) % q;
+  for (int i = st.k; i >= 0; --i) acc = st.q.remainder(acc * x + coeff[i]);
   return acc;
 }
 
@@ -91,11 +120,11 @@ struct LinialAlg {
   using Message = std::uint64_t;  // current color
   static constexpr bool kUniformSend = true;  // broadcast each round
 
-  const std::vector<StepParams>& schedule;
+  const std::vector<ScheduledStep>& schedule;
   std::vector<std::uint64_t>& color;
   std::vector<std::uint8_t> left;  // per-node rounds remaining (log* n ≪ 255)
 
-  LinialAlg(std::size_t n, const std::vector<StepParams>& schedule_in,
+  LinialAlg(std::size_t n, const std::vector<ScheduledStep>& schedule_in,
             std::vector<std::uint64_t>& color_in)
       : schedule(schedule_in), color(color_in),
         left(n, static_cast<std::uint8_t>(schedule_in.size())) {}
@@ -106,30 +135,43 @@ struct LinialAlg {
 
   template <class Inbox>
   void step(NodeId v, const Inbox& inbox, int round) {
-    const StepParams sp = schedule[static_cast<std::size_t>(round) - 1];
-    Poly mine;
-    poly_of(color[v], sp.q, sp.k, mine);
+    const ScheduledStep& st = schedule[static_cast<std::size_t>(round) - 1];
+    const std::uint64_t q = st.q.divisor();
+    // Expand my polynomial and every neighbor's once per step, the
+    // neighbors' into a flat buffer of stride k+1.
+    std::array<std::uint64_t, kMaxPolyDegree + 1> mine;
+    poly_of(color[v], st, mine.data());
+    const auto stride = static_cast<std::size_t>(st.k) + 1;
+    thread_local std::vector<std::uint64_t> theirs;
+    if (theirs.size() < stride * static_cast<std::size_t>(inbox.size()))
+      theirs.resize(stride * static_cast<std::size_t>(inbox.size()));
+    std::size_t end = 0;
+    for (int p = 0; p < inbox.size(); ++p) {
+      const auto m = inbox[p];
+      if (!m) continue;
+      // Equal colors on an edge cannot happen (proper invariant); the
+      // guard keeps parallel-edge self-comparisons inert.
+      if (*m == color[v]) continue;
+      poly_of(*m, st, theirs.data() + end);
+      end += stride;
+    }
     // Pick the smallest evaluation point where my polynomial differs
     // from every neighbor's; two distinct degree-k polynomials agree on
     // <= k points, so <= k·Δ < q points are blocked in total.
-    std::uint64_t chosen = sp.q;  // sentinel
-    for (std::uint64_t x = 0; x < sp.q && chosen == sp.q; ++x) {
+    std::uint64_t chosen = q;  // sentinel
+    std::uint64_t chosen_value = 0;
+    for (std::uint64_t x = 0; x < q && chosen == q; ++x) {
+      const std::uint64_t mine_at_x = eval_poly(mine.data(), st, x);
       bool ok = true;
-      const std::uint64_t mine_at_x = eval_poly(mine, sp.k, x, sp.q);
-      for (int p = 0; p < inbox.size() && ok; ++p) {
-        const auto m = inbox[p];
-        if (!m) continue;
-        // Equal colors on an edge cannot happen (proper invariant); the
-        // guard keeps parallel-edge self-comparisons inert.
-        if (*m == color[v]) continue;
-        Poly theirs;
-        poly_of(*m, sp.q, sp.k, theirs);
-        if (eval_poly(theirs, sp.k, x, sp.q) == mine_at_x) ok = false;
+      for (std::size_t t = 0; t < end && ok; t += stride)
+        ok = eval_poly(theirs.data() + t, st, x) != mine_at_x;
+      if (ok) {
+        chosen = x;
+        chosen_value = mine_at_x;
       }
-      if (ok) chosen = x;
     }
-    PADLOCK_ASSERT(chosen < sp.q);
-    color[v] = chosen * sp.q + eval_poly(mine, sp.k, chosen, sp.q);
+    PADLOCK_ASSERT(chosen < q);
+    color[v] = chosen * q + chosen_value;
     --left[v];
   }
 
@@ -139,7 +181,7 @@ struct LinialAlg {
 }  // namespace
 
 std::uint64_t linial_step_palette(std::uint64_t K, int max_degree) {
-  const StepParams sp = step_params(K, max_degree);
+  const LinialStep sp = linial_step_params(K, max_degree);
   return sp.q * sp.q;
 }
 
@@ -163,11 +205,11 @@ LinialResult linial_color(const Graph& g, const IdMap& ids,
   // iterated while a step still shrinks the palette — then run it on the
   // message engine (one engine round per step, colors exchanged with
   // neighbors; the coloring stays proper throughout).
-  std::vector<StepParams> schedule;
+  std::vector<ScheduledStep> schedule;
   while (linial_step_palette(K, delta) < K) {
-    const StepParams sp = step_params(K, delta);
+    const LinialStep sp = linial_step_params(K, delta);
     PADLOCK_ASSERT(sp.k <= kMaxPolyDegree);
-    schedule.push_back(sp);
+    schedule.emplace_back(sp);
     K = sp.q * sp.q;
   }
   PADLOCK_ASSERT(schedule.size() <= 255);  // left is a byte counter

@@ -32,6 +32,15 @@ struct LinialResult {
   }
 };
 
+/// Parameters of one reduction step from K colors at maximum degree Δ:
+/// polynomial degree k (<= 12) and prime field size q, with q^{k+1} >= K and
+/// q > k·Δ.
+struct LinialStep {
+  std::uint64_t q = 0;
+  int k = 0;
+};
+LinialStep linial_step_params(std::uint64_t K, int max_degree);
+
 /// Size of the palette one Linial step produces from K colors at maximum
 /// degree Δ (q², for the smallest suitable prime q).
 std::uint64_t linial_step_palette(std::uint64_t K, int max_degree);

@@ -32,7 +32,7 @@ IdMap make_ids(const Graph& g, IdStrategy strategy, std::uint64_t seed) {
 
 std::uint64_t default_id_space(const Graph& g, IdStrategy strategy) {
   const auto n = static_cast<std::uint64_t>(g.num_nodes());
-  if (strategy == IdStrategy::kSparse) return n * n * n;
+  if (strategy == IdStrategy::kSparse) return sparse_id_space(n);
   return n;
 }
 

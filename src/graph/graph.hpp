@@ -280,7 +280,9 @@ class Graph {
 class GraphBuilder {
  public:
   GraphBuilder() = default;
-  explicit GraphBuilder(std::size_t reserve_nodes);
+  /// Pre-sizes the edge list for `expected_edges` edges (most builders
+  /// pass their node count, about right for bounded-degree graphs).
+  explicit GraphBuilder(std::size_t expected_edges);
 
   /// Adds an isolated node and returns its id (ids are dense, 0-based).
   NodeId add_node();
@@ -293,14 +295,16 @@ class GraphBuilder {
   /// two consecutive ports of u.
   EdgeId add_edge(NodeId u, NodeId v);
 
-  [[nodiscard]] std::size_t num_nodes() const { return node_ports_.size(); }
+  [[nodiscard]] std::size_t num_nodes() const { return num_nodes_; }
   [[nodiscard]] std::size_t num_edges() const { return endpoints_.size(); }
 
-  /// Finalizes the graph. The builder may not be reused afterwards.
+  /// Finalizes the graph: assembles the CSR slabs by one counting sort of
+  /// the (edge, side) pairs in insertion order, which is exactly the port
+  /// order documented at add_edge. The builder may not be reused afterwards.
   [[nodiscard]] Graph build() &&;
 
  private:
-  std::vector<std::vector<HalfEdge>> node_ports_;
+  std::size_t num_nodes_ = 0;
   std::vector<std::pair<NodeId, NodeId>> endpoints_;
 };
 

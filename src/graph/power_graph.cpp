@@ -1,6 +1,5 @@
 #include "graph/power_graph.hpp"
 
-#include <queue>
 #include <vector>
 
 #include "support/check.hpp"
@@ -14,30 +13,27 @@ PowerGraph power_graph(const Graph& g, int k) {
   b.add_nodes(n);
 
   // Truncated BFS to depth k from every node; add each pair once (u < v).
+  // `touched` doubles as the FIFO queue: it holds the visited nodes in
+  // discovery order, and `head` walks it.
   std::vector<int> dist(n, -1);
   std::vector<NodeId> touched;
   for (NodeId u = 0; u < n; ++u) {
     dist[u] = 0;
     touched.assign(1, u);
-    std::queue<NodeId> q;
-    q.push(u);
-    while (!q.empty()) {
-      const NodeId x = q.front();
-      q.pop();
+    for (std::size_t head = 0; head < touched.size(); ++head) {
+      const NodeId x = touched[head];
       if (dist[x] == k) continue;
-      for (int p = 0; p < g.degree(x); ++p) {
-        const NodeId y = g.neighbor(x, p);
-        if (y == x || dist[y] != -1) continue;
+      for (const HalfEdge h : g.incident(x)) {
+        const NodeId y = g.node_across(h);
+        if (dist[y] != -1) continue;
         dist[y] = dist[x] + 1;
         touched.push_back(y);
-        q.push(y);
       }
     }
     for (const NodeId v : touched) {
       if (v > u) b.add_edge(u, v);
       dist[v] = -1;
     }
-    dist[u] = -1;
   }
   return PowerGraph{std::move(b).build(), k};
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "algo/cole_vishkin.hpp"
 #include "algo/color_reduce.hpp"
 #include "algo/decomposition.hpp"
@@ -10,6 +13,8 @@
 #include "lcl/problems/coloring.hpp"
 #include "lcl/problems/matching.hpp"
 #include "lcl/problems/mis.hpp"
+#include "support/divider.hpp"
+#include "support/rng.hpp"
 
 namespace padlock {
 namespace {
@@ -150,6 +155,154 @@ TEST(Linial, StepPaletteShrinksLargeSpaces) {
   // Fixpoint: tiny palettes stop shrinking.
   const auto fp = linial_step_palette(49, 3);
   EXPECT_GE(fp, 49u);
+}
+
+// Reference parameter search: walk the primes up from k·Δ + 1, where
+// linial_step_params starts at ceil(K^{1/(k+1)}). Feasible for moderate K
+// only.
+LinialStep reference_step_params(std::uint64_t K, int max_degree) {
+  auto is_prime = [](std::uint64_t x) {
+    if (x < 2) return false;
+    for (std::uint64_t d = 2; d * d <= x; ++d)
+      if (x % d == 0) return false;
+    return true;
+  };
+  auto next_prime = [&](std::uint64_t x) {
+    while (!is_prime(x)) ++x;
+    return x;
+  };
+  LinialStep best;
+  for (int k = 1; k <= 12; ++k) {
+    std::uint64_t q = next_prime(static_cast<std::uint64_t>(k) *
+                                     static_cast<std::uint64_t>(max_degree) +
+                                 1);
+    auto pow_ge = [&](std::uint64_t base) {
+      std::uint64_t p = 1;
+      for (int i = 0; i <= k; ++i) {
+        if (p >= K) return true;
+        if (base != 0 && p > K / base + 1) return true;
+        p *= base;
+      }
+      return p >= K;
+    };
+    while (!pow_ge(q)) q = next_prime(q + 1);
+    if (best.q == 0 || q * q < best.q * best.q) best = {q, k};
+  }
+  return best;
+}
+
+TEST(Linial, StepParamsMatchPrimeWalkFromKDelta) {
+  std::vector<std::uint64_t> spaces;
+  for (std::uint64_t K = 1; K <= 300; ++K) spaces.push_back(K);
+  for (int i = 9; i <= 28; ++i) {
+    spaces.push_back((std::uint64_t{1} << i) - 1);
+    spaces.push_back(std::uint64_t{1} << i);
+    spaces.push_back((std::uint64_t{1} << i) + 1);
+  }
+  for (const std::uint64_t K : spaces) {
+    for (int delta = 1; delta <= 64; delta += (K > 300 ? 9 : 1)) {
+      const LinialStep got = linial_step_params(K, delta);
+      const LinialStep want = reference_step_params(K, delta);
+      EXPECT_EQ(got.q, want.q) << "K=" << K << " delta=" << delta;
+      EXPECT_EQ(got.k, want.k) << "K=" << K << " delta=" << delta;
+    }
+  }
+}
+
+TEST(Linial, ScheduleFromFullSpaceCarriesItsColors) {
+  // From K = 2^64 - 1 the k = 1 field is q = 2^32 + 15, whose q² wraps
+  // to about 1.3e11; from Δ ≈ 1.2e5 on, every k >= 2 field has a larger
+  // q², so the wrapped k = 1 step would win. Every step's palette q² must
+  // fit 64 bits, and q^{k+1} must cover the K colors the previous step
+  // feeds in.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  std::vector<int> degrees;
+  for (int delta = 1; delta <= 64; ++delta) degrees.push_back(delta);
+  degrees.insert(degrees.end(), {30000, 120000, 1 << 20});
+  for (const int delta : degrees) {
+    std::uint64_t K = kMax;
+    for (int step = 0; step < 8 && linial_step_palette(K, delta) < K;
+         ++step) {
+      const LinialStep sp = linial_step_params(K, delta);
+      std::uint64_t palette = 0;
+      ASSERT_FALSE(__builtin_mul_overflow(sp.q, sp.q, &palette))
+          << "K=" << K << " delta=" << delta << " q=" << sp.q;
+      EXPECT_GT(sp.q, static_cast<std::uint64_t>(sp.k) *
+                          static_cast<std::uint64_t>(delta));
+      std::uint64_t cover = 1;
+      bool saturated = false;
+      for (int i = 0; i <= sp.k && !saturated; ++i)
+        saturated = __builtin_mul_overflow(cover, sp.q, &cover);
+      EXPECT_TRUE(saturated || cover >= K)
+          << "K=" << K << " delta=" << delta << " q=" << sp.q;
+      K = palette;
+    }
+  }
+}
+
+TEST(Linial, FullIdSpaceNearTopIsProper) {
+  // Ids spread over the top of the 64-bit range, on a graph with Δ >= 31.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  constexpr std::uint64_t kStride = (std::uint64_t{1} << 32) + 15;
+  for (std::uint64_t seed : {1ull, 2ull}) {
+    Graph g = build::random_regular_simple(64, 32, seed);
+    ASSERT_GE(g.max_degree(), 31);
+    const auto order = shuffled_ids(g, seed);
+    IdMap ids(g, 0);
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      ids[v] = kMax - (order[v] - 1) * kStride;
+    const auto res = linial_color(g, ids, kMax);
+    EXPECT_TRUE(is_proper_coloring(g, res.colors, g.max_degree() + 1));
+  }
+}
+
+TEST(Linial, DividerMatchesHardwareDivisionOnEveryStepField) {
+  // Every field size q the schedule of id space K at degree Δ visits, for
+  // id spaces across 2..2^64-1 and Δ in 1..64.
+  Rng rng(13);
+  std::vector<std::uint64_t> spaces;
+  for (std::uint64_t K = 2; K <= 100; ++K) spaces.push_back(K);
+  for (int i = 7; i <= 63; ++i) {
+    spaces.push_back((std::uint64_t{1} << i) - 1);
+    spaces.push_back(std::uint64_t{1} << i);
+    spaces.push_back((std::uint64_t{1} << i) + 1);
+  }
+  spaces.push_back(~std::uint64_t{0});
+  for (int i = 0; i < 20; ++i) spaces.push_back(rng() | 2);
+  std::set<std::uint64_t> fields;
+  for (const std::uint64_t space : spaces) {
+    for (int delta = 1; delta <= 64; ++delta) {
+      std::uint64_t K = space;
+      fields.insert(linial_step_params(K, delta).q);
+      for (int step = 0; step < 8 && linial_step_palette(K, delta) < K;
+           ++step) {
+        const std::uint64_t q = linial_step_params(K, delta).q;
+        fields.insert(q);
+        K = q * q;
+      }
+    }
+  }
+  EXPECT_GT(fields.size(), 50u);
+  // Plus divisors no schedule reaches: the extremes of the 64-bit range.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  fields.insert({1, 2, 3, (std::uint64_t{1} << 32) + 15,
+                 (std::uint64_t{1} << 61) - 1, kMax - 58, kMax});
+  for (const std::uint64_t q : fields) {
+    const Divider div(q);
+    std::vector<std::uint64_t> nums = {0, q - 1, q, q + 1, 2 * q - 1,
+                                       kMax, kMax - q, kMax - q + 1,
+                                       (q - 1) * (q - 1)};
+    for (int i = 0; i < 64; ++i) nums.push_back(rng());
+    // Horner's operands acc·x + c stay below q^2 unless it wraps.
+    const std::uint64_t square = q > 0xFFFFFFFFu ? kMax : q * q;
+    for (int i = 0; i < 16; ++i) nums.push_back(rng.below(square));
+    for (const std::uint64_t v : nums) {
+      std::uint64_t rem = 0;
+      ASSERT_EQ(div.divide(v, rem), v / q) << "q=" << q << " v=" << v;
+      ASSERT_EQ(rem, v % q) << "q=" << q << " v=" << v;
+      ASSERT_EQ(div.remainder(v), v % q);
+    }
+  }
 }
 
 // ---- Luby MIS -----------------------------------------------------------------

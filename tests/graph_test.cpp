@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "graph/graph.hpp"
 #include "graph/labels.hpp"
+#include "support/rng.hpp"
 
 namespace padlock {
 namespace {
@@ -119,6 +124,104 @@ TEST(Graph, IncidentListsAllHalfEdges) {
   }
   EXPECT_EQ(port, g.degree(0));
   EXPECT_TRUE(g.incident(1).size() == 1 && g.incident(1)[0].side == 1);
+}
+
+// ---- CSR identity against a per-node-vector reference builder -------------
+
+// The port-order contract written the obvious way: one port vector per
+// node, appended in edge-insertion order. The oracle for GraphBuilder's
+// counting-sort assembly.
+struct ReferenceCsr {
+  std::vector<std::vector<HalfEdge>> node_ports;
+  std::vector<std::pair<NodeId, NodeId>> endpoints;
+
+  explicit ReferenceCsr(std::size_t n) : node_ports(n) {}
+  void add_edge(NodeId u, NodeId v) {
+    const auto e = static_cast<EdgeId>(endpoints.size());
+    endpoints.emplace_back(u, v);
+    node_ports[u].push_back(HalfEdge{e, 0});
+    node_ports[v].push_back(HalfEdge{e, 1});
+  }
+  [[nodiscard]] int port_of(HalfEdge h) const {
+    const auto [u, v] = endpoints[h.edge];
+    const auto& ports = node_ports[h.side == 0 ? u : v];
+    for (std::size_t p = 0; p < ports.size(); ++p)
+      if (ports[p] == h) return static_cast<int>(p);
+    return -1;
+  }
+};
+
+// Builds the same edge list through GraphBuilder and the reference, then
+// checks ports, side_port (port_of) and peer_port slot by slot.
+void expect_csr_matches_reference(
+    std::size_t n, const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  GraphBuilder b;
+  b.add_nodes(n);
+  ReferenceCsr ref(n);
+  for (const auto& [u, v] : edges) {
+    b.add_edge(u, v);
+    ref.add_edge(u, v);
+  }
+  const Graph g = std::move(b).build();
+  ASSERT_EQ(g.num_nodes(), n);
+  ASSERT_EQ(g.num_edges(), edges.size());
+  int max_degree = 0;
+  std::size_t slot = 0;
+  for (NodeId v = 0; v < n; ++v) {
+    const auto& want = ref.node_ports[v];
+    max_degree = std::max(max_degree, static_cast<int>(want.size()));
+    ASSERT_EQ(g.port_offset(v), slot) << "node " << v;
+    ASSERT_EQ(g.incident(v).size(), want.size()) << "node " << v;
+    for (std::size_t p = 0; p < want.size(); ++p, ++slot) {
+      const HalfEdge h = want[p];
+      EXPECT_EQ(g.incident(v)[p], h) << "node " << v << " port " << p;
+      const HalfEdge o = Graph::opposite(h);
+      const auto [a, c] = ref.endpoints[o.edge];
+      const std::size_t peer =
+          g.port_offset(o.side == 0 ? a : c) +
+          static_cast<std::size_t>(ref.port_of(o));
+      EXPECT_EQ(g.peer_port()[slot], peer) << "slot " << slot;
+    }
+  }
+  EXPECT_EQ(slot, 2 * edges.size());
+  EXPECT_EQ(g.max_degree(), max_degree);
+  for (EdgeId e = 0; e < edges.size(); ++e) {
+    EXPECT_EQ(g.endpoints(e), edges[e]);
+    EXPECT_EQ(g.port_of(HalfEdge{e, 0}), ref.port_of(HalfEdge{e, 0}));
+    EXPECT_EQ(g.port_of(HalfEdge{e, 1}), ref.port_of(HalfEdge{e, 1}));
+  }
+}
+
+TEST(GraphCsr, EmptyGraphMatchesReference) {
+  expect_csr_matches_reference(0, {});
+}
+
+TEST(GraphCsr, IsolatedNodesMatchReference) {
+  expect_csr_matches_reference(5, {});
+  expect_csr_matches_reference(6, {{1, 4}});  // 0, 2, 3, 5 isolated
+}
+
+TEST(GraphCsr, SelfLoopsMatchReference) {
+  expect_csr_matches_reference(3, {{0, 0}, {0, 1}, {1, 1}, {0, 0}, {2, 2}});
+}
+
+TEST(GraphCsr, ParallelEdgesMatchReference) {
+  expect_csr_matches_reference(3, {{0, 1}, {1, 0}, {0, 1}, {1, 2}, {2, 1}});
+}
+
+TEST(GraphCsr, RandomMultigraphsMatchReference) {
+  Rng rng(2024);
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t n = 1 + rng.below(40);
+    const std::size_t m = rng.below(4 * n);
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (std::size_t i = 0; i < m; ++i) {
+      // Small n and many edges: self-loops and parallel edges are common.
+      edges.emplace_back(static_cast<NodeId>(rng.below(n)),
+                         static_cast<NodeId>(rng.below(n)));
+    }
+    expect_csr_matches_reference(n, edges);
+  }
 }
 
 TEST(Labels, NodeMapIndexing) {

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "graph/builders.hpp"
 #include "local/engine.hpp"
 #include "local/ids.hpp"
 #include "local/message_engine.hpp"
 #include "local/view.hpp"
 #include "support/check.hpp"
+#include "support/rng.hpp"
 
 namespace padlock {
 namespace {
@@ -45,6 +48,113 @@ TEST(Ids, RejectsDuplicates) {
   ids[1] = 1;
   ids[2] = 2;
   EXPECT_FALSE(ids_valid(g, ids));
+}
+
+// ---- ids_valid: both paths ---------------------------------------------
+
+Graph isolated_nodes(std::size_t n) {
+  GraphBuilder b;
+  b.add_nodes(n);
+  return std::move(b).build();
+}
+
+// ids_valid's contract through a hash set.
+bool ids_valid_reference(const Graph& g, const IdMap& ids) {
+  if (ids.size() != g.num_nodes()) return false;
+  std::unordered_set<std::uint64_t> seen;
+  for (const std::uint64_t id : ids)
+    if (id < 1 || !seen.insert(id).second) return false;
+  return true;
+}
+
+TEST(IdsValid, DensePermutationAndDuplicate) {
+  const Graph g = isolated_nodes(1000);
+  IdMap ids = shuffled_ids(g, 11);
+  EXPECT_TRUE(ids_valid(g, ids));
+  ids[17] = ids[900];
+  EXPECT_FALSE(ids_valid(g, ids));
+}
+
+TEST(IdsValid, BitmapPathEndsAtEightN) {
+  // Largest id exactly 8n still takes the bitmap; 8n + 1 takes the sort.
+  const Graph g = isolated_nodes(64);
+  for (const std::uint64_t top : {8ull * 64, 8ull * 64 + 1}) {
+    IdMap ids = sequential_ids(g);
+    ids[63] = top;
+    EXPECT_TRUE(ids_valid(g, ids)) << top;
+    ids[0] = top;
+    EXPECT_FALSE(ids_valid(g, ids)) << top;
+  }
+}
+
+TEST(IdsValid, SparseIdsAndDuplicate) {
+  const Graph g = isolated_nodes(500);
+  IdMap ids = sparse_ids(g, 3);
+  EXPECT_TRUE(ids_valid(g, ids));
+  // Duplicates that differ from the other ids only in high digits, and
+  // ids at the top of the 64-bit range.
+  ids[4] = ~std::uint64_t{0};
+  ids[5] = ~std::uint64_t{0} - 1;
+  EXPECT_TRUE(ids_valid(g, ids));
+  ids[6] = ids[4];
+  EXPECT_FALSE(ids_valid(g, ids));
+}
+
+TEST(IdsValid, RejectsIdZeroOnBothPaths) {
+  const Graph g = isolated_nodes(100);
+  IdMap dense = shuffled_ids(g, 1);
+  dense[42] = 0;
+  EXPECT_FALSE(ids_valid(g, dense));
+  IdMap sparse = sparse_ids(g, 1);
+  sparse[42] = 0;
+  EXPECT_FALSE(ids_valid(g, sparse));
+}
+
+TEST(IdsValid, RejectsSizeMismatch) {
+  const Graph g = isolated_nodes(10);
+  EXPECT_FALSE(ids_valid(g, IdMap(9, 1)));
+  IdMap longer(11, 0);
+  for (NodeId v = 0; v < 11; ++v) longer[v] = v + 1;
+  EXPECT_FALSE(ids_valid(g, longer));
+}
+
+TEST(IdsValid, EmptyGraph) {
+  const Graph g = isolated_nodes(0);
+  EXPECT_TRUE(ids_valid(g, IdMap(g, 0)));
+  EXPECT_FALSE(ids_valid(g, IdMap(1, 1)));
+}
+
+TEST(IdsValid, AgreesWithHashSetReference) {
+  Rng rng(77);
+  for (int round = 0; round < 400; ++round) {
+    const std::size_t n = rng.below(300);
+    const Graph g = isolated_nodes(n);
+    // Ranges from "many duplicates" through dense to very sparse.
+    const std::uint64_t range =
+        std::uint64_t{1} << rng.below(64);  // 1 .. 2^63
+    IdMap ids(g, 0);
+    for (NodeId v = 0; v < n; ++v) ids[v] = rng.below(range) + 1;
+    if (n > 0 && rng.chance(0.1)) ids[static_cast<NodeId>(rng.below(n))] = 0;
+    if (n > 1 && rng.chance(0.3)) {
+      ids[static_cast<NodeId>(rng.below(n))] =
+          ids[static_cast<NodeId>(rng.below(n))];
+    }
+    EXPECT_EQ(ids_valid(g, ids), ids_valid_reference(g, ids))
+        << "round " << round << " n=" << n << " range=" << range;
+  }
+}
+
+TEST(Ids, SparseIdSpaceSaturates) {
+  EXPECT_EQ(sparse_id_space(0), 0u);
+  EXPECT_EQ(sparse_id_space(16), 4096u);
+  EXPECT_EQ(sparse_id_space(std::uint64_t{1} << 21), std::uint64_t{1} << 63);
+  // 2642245 is the largest n whose cube fits 64 bits.
+  EXPECT_EQ(sparse_id_space(2642245), 2642245ull * 2642245ull * 2642245ull);
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  EXPECT_EQ(sparse_id_space(2642246), kMax);
+  // serve's default max_nodes, where n^3 needs 66 bits.
+  EXPECT_EQ(sparse_id_space(std::uint64_t{1} << 22), kMax);
+  EXPECT_EQ(sparse_id_space(kMax), kMax);
 }
 
 TEST(LocalView, StrictAllowsBallReads) {

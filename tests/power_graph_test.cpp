@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "algo/color_reduce.hpp"
 #include "algo/dist_coloring.hpp"
 #include "graph/builders.hpp"
@@ -57,6 +61,59 @@ TEST(PowerGraph, DistancesAgree) {
       if (p3.graph.neighbor(0, q) == v) adjacent = true;
     }
     EXPECT_EQ(adjacent, d[v] != kUnreachable && d[v] <= 3) << "v=" << v;
+  }
+}
+
+// Reference G^k: a std::queue BFS to depth k from every node, emitting
+// {u, v} for each v > u in discovery order, which is the edge order
+// power_graph's bit-identical outputs rest on.
+std::vector<std::pair<NodeId, NodeId>> reference_power_edges(const Graph& g,
+                                                             int k) {
+  std::vector<std::pair<NodeId, NodeId>> edges;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    std::vector<int> dist(g.num_nodes(), -1);
+    std::vector<NodeId> order{u};
+    std::queue<NodeId> q;
+    dist[u] = 0;
+    q.push(u);
+    while (!q.empty()) {
+      const NodeId x = q.front();
+      q.pop();
+      if (dist[x] == k) continue;
+      for (int p = 0; p < g.degree(x); ++p) {
+        const NodeId y = g.neighbor(x, p);
+        if (dist[y] != -1) continue;
+        dist[y] = dist[x] + 1;
+        order.push_back(y);
+        q.push(y);
+      }
+    }
+    for (const NodeId v : order)
+      if (v > u) edges.emplace_back(u, v);
+  }
+  return edges;
+}
+
+TEST(PowerGraph, EqualsReferenceBfs) {
+  GraphBuilder b;
+  b.add_nodes(7);  // node 6 stays isolated
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {0, 1}, {1, 2}, {2, 2}, {2, 3}, {1, 2}, {3, 4}, {4, 0}, {5, 4}})
+    b.add_edge(u, v);
+  std::vector<Graph> graphs;
+  graphs.push_back(std::move(b).build());
+  graphs.push_back(build::random_regular(64, 3, 5));
+  graphs.push_back(build::random_bounded_degree(80, 4, 0.5, 9));
+  graphs.push_back(GraphBuilder().build());
+  for (const Graph& g : graphs) {
+    for (const int k : {1, 2, 3}) {
+      const PowerGraph p = power_graph(g, k);
+      const auto want = reference_power_edges(g, k);
+      ASSERT_EQ(p.graph.num_nodes(), g.num_nodes());
+      ASSERT_EQ(p.graph.num_edges(), want.size()) << "k=" << k;
+      for (EdgeId e = 0; e < want.size(); ++e)
+        EXPECT_EQ(p.graph.endpoints(e), want[e]) << "k=" << k << " e=" << e;
+    }
   }
 }
 
