@@ -1,11 +1,11 @@
 #include "algo/color_reduce.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "core/registry.hpp"
 #include "lcl/problems/coloring.hpp"
-#include "local/engine_bitset.hpp"
 #include "local/message_engine.hpp"
 #include "support/check.hpp"
 
@@ -29,22 +29,18 @@ struct ColorReduceAlg {
   const NodeMap<int>& input;
   int palette;
   NodeMap<int>& out;  // 0 = undecided (doubles as done-bit)
-  // Node-major [n][palette + 1] seen-color mask, one bit per palette slot
-  // (the v2-era byte mask, 8x denser). Adjacent nodes' mask regions share
-  // words at the boundaries, so writes go through atomic fetch_or and the
-  // candidate scan reads through atomic loads — a neighbor's concurrent
-  // writes only ever touch *its* bits, so v's own bits are stable.
-  WordBitset used;
+  // Node-major seen-color mask: bit c of node v's `words` words is set
+  // once a neighbor announced color c (bit 0 is never set). Only the
+  // node stepping v reads or writes v's words, under every executor, so
+  // plain loads and stores suffice.
+  std::size_t words;
+  std::vector<std::uint64_t> seen;
 
   ColorReduceAlg(const Graph& g, const NodeMap<int>& input_in,
                  int palette_in, NodeMap<int>& out_in)
       : input(input_in), palette(palette_in), out(out_in),
-        used(g.num_nodes() * (static_cast<std::size_t>(palette_in) + 1)) {}
-
-  [[nodiscard]] std::size_t mask_base(NodeId v) const {
-    return static_cast<std::size_t>(v) *
-           (static_cast<std::size_t>(palette) + 1);
-  }
+        words((static_cast<std::size_t>(palette_in) + 64) / 64),
+        seen(g.num_nodes() * words, 0) {}
 
   std::optional<Message> send(NodeId v, int /*port*/, int /*round*/) {
     if (out[v] == 0) return std::nullopt;
@@ -53,21 +49,23 @@ struct ColorReduceAlg {
 
   template <class Inbox>
   void step(NodeId v, const Inbox& inbox, int round) {
-    const std::size_t base = mask_base(v);
+    std::uint64_t* mask = seen.data() + static_cast<std::size_t>(v) * words;
     for (const auto& m : inbox) {
       if (!m) continue;
       const int nc = static_cast<int>(*m);
       if (nc >= 1 && nc <= palette)
-        used.set_atomic(base + static_cast<std::size_t>(nc));
+        mask[nc / 64] |= std::uint64_t{1} << (nc % 64);
     }
     if (input[v] != round) return;
-    for (int cand = 1; cand <= palette; ++cand) {
-      if (!used.test_atomic(base + static_cast<std::size_t>(cand))) {
-        out[v] = cand;
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t free_bits = ~mask[w];
+      if (w == 0) free_bits &= ~std::uint64_t{1};  // colors start at 1
+      if (free_bits != 0) {
+        out[v] = static_cast<int>(w * 64) + std::countr_zero(free_bits);
         break;
       }
     }
-    PADLOCK_ASSERT(out[v] >= 1);
+    PADLOCK_ASSERT(out[v] >= 1 && out[v] <= palette);
   }
 
   bool done(NodeId v) const { return out[v] != 0; }

@@ -137,6 +137,23 @@ struct LinialAlg {
   void step(NodeId v, const Inbox& inbox, int round) {
     const ScheduledStep& st = schedule[static_cast<std::size_t>(round) - 1];
     const std::uint64_t q = st.q.divisor();
+    // p(0) is the lowest base-q digit, c mod q: one remainder per color
+    // decides whether x = 0 separates me from every neighbor, and then
+    // the new color is (0, p(0)) with no polynomial expanded.
+    const std::uint64_t mine_at_0 = st.q.remainder(color[v]);
+    bool blocked_at_0 = false;
+    for (int p = 0; p < inbox.size() && !blocked_at_0; ++p) {
+      const auto m = inbox[p];
+      // Equal colors on an edge cannot happen (proper invariant); the
+      // guard keeps parallel-edge self-comparisons inert.
+      if (!m || *m == color[v]) continue;
+      blocked_at_0 = st.q.remainder(*m) == mine_at_0;
+    }
+    if (!blocked_at_0) {
+      color[v] = mine_at_0;
+      --left[v];
+      return;
+    }
     // Expand my polynomial and every neighbor's once per step, the
     // neighbors' into a flat buffer of stride k+1.
     std::array<std::uint64_t, kMaxPolyDegree + 1> mine;
@@ -148,19 +165,17 @@ struct LinialAlg {
     std::size_t end = 0;
     for (int p = 0; p < inbox.size(); ++p) {
       const auto m = inbox[p];
-      if (!m) continue;
-      // Equal colors on an edge cannot happen (proper invariant); the
-      // guard keeps parallel-edge self-comparisons inert.
-      if (*m == color[v]) continue;
+      if (!m || *m == color[v]) continue;
       poly_of(*m, st, theirs.data() + end);
       end += stride;
     }
     // Pick the smallest evaluation point where my polynomial differs
-    // from every neighbor's; two distinct degree-k polynomials agree on
-    // <= k points, so <= k·Δ < q points are blocked in total.
+    // from every neighbor's (x = 0 is blocked, see above); two distinct
+    // degree-k polynomials agree on <= k points, so <= k·Δ < q points
+    // are blocked in total.
     std::uint64_t chosen = q;  // sentinel
     std::uint64_t chosen_value = 0;
-    for (std::uint64_t x = 0; x < q && chosen == q; ++x) {
+    for (std::uint64_t x = 1; x < q && chosen == q; ++x) {
       const std::uint64_t mine_at_x = eval_poly(mine.data(), st, x);
       bool ok = true;
       for (std::size_t t = 0; t < end && ok; t += stride)

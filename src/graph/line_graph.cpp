@@ -40,6 +40,20 @@ LineGraph line_graph(const Graph& g) {
   return lg;
 }
 
+namespace {
+
+/// a·b + c, or a ContractViolation when it does not fit 64 bits.
+std::uint64_t checked_mul_add(std::uint64_t a, std::uint64_t b,
+                              std::uint64_t c) {
+  std::uint64_t r = 0;
+  const bool wraps =
+      __builtin_mul_overflow(a, b, &r) || __builtin_add_overflow(r, c, &r);
+  PADLOCK_REQUIRE(!wraps);
+  return r;
+}
+
+}  // namespace
+
 NodeMap<std::uint64_t> line_graph_ids(const Graph& g,
                                       const NodeMap<std::uint64_t>& ids) {
   const std::uint64_t stride = static_cast<std::uint64_t>(g.max_degree()) + 1;
@@ -49,15 +63,15 @@ NodeMap<std::uint64_t> line_graph_ids(const Graph& g,
     const NodeId anchor = ids[u] <= ids[v] ? u : v;
     const int side = anchor == u ? 0 : 1;
     const int port = g.port_of(HalfEdge{e, side});
-    out[static_cast<NodeId>(e)] =
-        ids[anchor] * stride + static_cast<std::uint64_t>(port) + 1;
+    out[static_cast<NodeId>(e)] = checked_mul_add(
+        ids[anchor], stride, static_cast<std::uint64_t>(port) + 1);
   }
   return out;
 }
 
 std::uint64_t line_graph_id_space(std::uint64_t id_space, int max_degree) {
-  return id_space * (static_cast<std::uint64_t>(max_degree) + 1) +
-         static_cast<std::uint64_t>(max_degree) + 1;
+  const std::uint64_t stride = static_cast<std::uint64_t>(max_degree) + 1;
+  return checked_mul_add(id_space, stride, stride);
 }
 
 }  // namespace padlock

@@ -28,11 +28,14 @@ LineGraph line_graph(const Graph& g);
 /// Ids for L(G)-nodes derived from g's ids: edge e = {u,v} gets
 /// min(id_u, id_v) * (Δ+1) + port of e at that endpoint + 1 — distinct,
 /// and polynomial in the original id space. (Returns the NodeMap shape of
-/// an IdMap; this header stays below local/ in the layering.)
+/// an IdMap; this header stays below local/ in the layering.) Throws
+/// ContractViolation when a derived id does not fit 64 bits.
 NodeMap<std::uint64_t> line_graph_ids(const Graph& g,
                                       const NodeMap<std::uint64_t>& ids);
 
-/// The id space the derived ids live in (for Linial schedules).
+/// The id space the derived ids live in (for Linial schedules):
+/// id_space·(Δ+1) + Δ + 1. Throws ContractViolation when that does not fit
+/// 64 bits (sparse_id_space(n) at Δ = 3 from n = 2^21 on).
 std::uint64_t line_graph_id_space(std::uint64_t id_space, int max_degree);
 
 }  // namespace padlock

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "algo/cole_vishkin.hpp"
@@ -13,8 +17,11 @@
 #include "lcl/problems/coloring.hpp"
 #include "lcl/problems/matching.hpp"
 #include "lcl/problems/mis.hpp"
+#include "local/engine_substrate.hpp"
+#include "local/message_engine.hpp"
 #include "support/divider.hpp"
 #include "support/rng.hpp"
+#include "support/thread_pool.hpp"
 
 namespace padlock {
 namespace {
@@ -104,6 +111,139 @@ TEST(ColorReduce, Distance2RejectsTooClose) {
   EXPECT_FALSE(is_distance2_coloring(g, colors));
 }
 
+// Greedy class-order reference of reduce_to_degree_plus_one: class c
+// recolors in round c, each node to the smallest color no neighbor holds
+// yet; the engine stops once the largest present class has acted.
+ColorReduceResult reference_class_greedy(const Graph& g,
+                                         const NodeMap<int>& colors,
+                                         int num_colors) {
+  ColorReduceResult ref{NodeMap<int>(g, 0), 0};
+  for (int c = 1; c <= num_colors; ++c) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (colors[v] != c) continue;
+      std::set<int> taken;
+      for (int p = 0; p < g.degree(v); ++p)
+        taken.insert(ref.colors[g.neighbor(v, p)]);
+      int cand = 1;
+      while (taken.contains(cand)) ++cand;
+      ref.colors[v] = cand;
+      ref.rounds = c;
+    }
+  }
+  return ref;
+}
+
+Graph complete_graph(std::size_t n) {
+  GraphBuilder b;
+  b.add_nodes(n);
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v) b.add_edge(u, v);
+  return std::move(b).build();
+}
+
+Graph dense_random_graph(std::size_t n, double p, std::uint64_t seed) {
+  Rng rng(seed);
+  GraphBuilder b;
+  b.add_nodes(n);
+  for (NodeId u = 0; u < n; ++u)
+    for (NodeId v = u + 1; v < n; ++v)
+      if (rng.chance(p)) b.add_edge(u, v);
+  return std::move(b).build();
+}
+
+/// A proper coloring with its classes scattered over 1..3·(#classes):
+/// greedy in node order, then an injective random relabel, so the
+/// reduction sees gaps and a class order unrelated to node order.
+NodeMap<int> scattered_coloring(const Graph& g, std::uint64_t seed,
+                                int* num_colors) {
+  NodeMap<int> greedy(g, 0);
+  int classes = 0;
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    std::set<int> taken;
+    for (int p = 0; p < g.degree(v); ++p)
+      taken.insert(greedy[g.neighbor(v, p)]);
+    int cand = 1;
+    while (taken.contains(cand)) ++cand;
+    greedy[v] = cand;
+    classes = std::max(classes, cand);
+  }
+  std::vector<int> label(3 * static_cast<std::size_t>(classes));
+  std::iota(label.begin(), label.end(), 1);
+  Rng rng(seed);
+  std::shuffle(label.begin(), label.end(), rng);
+  NodeMap<int> out(g, 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    out[v] = label[static_cast<std::size_t>(greedy[v]) - 1];
+  *num_colors = 3 * classes;
+  return out;
+}
+
+TEST(ColorReduce, MatchesGreedyClassOrderReference) {
+  // Δ + 2 bits per node's seen-color mask: K_63 fills one word exactly,
+  // K_64 and G(200, 0.45) span two, K_140, the 130-leaf star and
+  // G(400, 0.4) span three. The 4096-node cubic graph and G(3200, 0.045)
+  // are large enough for the pooled phases at 4 threads.
+  struct Instance {
+    std::string label;
+    Graph g;
+  };
+  std::vector<Instance> instances;
+  instances.push_back({"K63", complete_graph(63)});
+  instances.push_back({"K64", complete_graph(64)});
+  instances.push_back({"K140", complete_graph(140)});
+  {
+    GraphBuilder b;
+    b.add_nodes(131);
+    for (NodeId leaf = 1; leaf <= 130; ++leaf) b.add_edge(0, leaf);
+    instances.push_back({"star130", std::move(b).build()});
+  }
+  instances.push_back({"gnp200", dense_random_graph(200, 0.45, 5)});
+  instances.push_back({"gnp400", dense_random_graph(400, 0.4, 6)});
+  instances.push_back({"gnp3200", dense_random_graph(3200, 0.045, 7)});
+  instances.push_back({"cubic4096", build::random_regular_simple(4096, 3, 8)});
+  EXPECT_EQ(instances[0].g.max_degree() + 2, 64);
+  EXPECT_GT(instances[5].g.max_degree() + 2, 128);
+  EXPECT_GT(instances[6].g.max_degree() + 2, 128);
+
+  const ExecContext saved = exec_context();
+  for (const Instance& inst : instances) {
+    int num_colors = 0;
+    const NodeMap<int> input = scattered_coloring(inst.g, 11, &num_colors);
+    const ColorReduceResult want =
+        reference_class_greedy(inst.g, input, num_colors);
+    const auto check = [&](const std::string& route) {
+      SCOPED_TRACE(inst.label + " " + route);
+      MessageEngineStats stats;
+      const ColorReduceResult got =
+          reduce_to_degree_plus_one(inst.g, input, num_colors, &stats);
+      EXPECT_TRUE(got.colors == want.colors);
+      EXPECT_EQ(got.rounds, want.rounds);
+      return stats;
+    };
+    for (const int threads : {1, 4}) {
+      exec_context().threads = threads;
+      const std::string t = " threads=" + std::to_string(threads);
+      {
+        ScopedEngineShards shards(1);
+        const MessageEngineStats stats = check("v3 inline" + t);
+        if (threads == 4 && inst.g.num_nodes() >= 3200) {
+          EXPECT_GT(stats.pooled_phases, 0);
+        }
+      }
+      {
+        ScopedEngineShards shards(7);
+        ScopedSubstrate pinned(SubstrateKind::kPinned);
+        check("v3 pinned x7" + t);
+      }
+      {
+        ScopedEngineVersion v2(MessageEngineVersion::kV2);
+        check("v2" + t);
+      }
+    }
+  }
+  exec_context() = saved;
+}
+
 // ---- Linial color reduction -----------------------------------------------------
 
 class LinialTest : public ::testing::TestWithParam<std::size_t> {};
@@ -117,7 +257,9 @@ TEST_P(LinialTest, ProperDeltaPlusOneColoring) {
     EXPECT_TRUE(is_proper_coloring(g, res.colors, g.max_degree() + 1));
     // Tiny id spaces start below the fixpoint palette and need no
     // polynomial rounds at all.
-    if (n >= 64) EXPECT_GT(res.linial_rounds, 0);
+    if (n >= 64) {
+      EXPECT_GT(res.linial_rounds, 0);
+    }
   }
 }
 
@@ -253,6 +395,104 @@ TEST(Linial, FullIdSpaceNearTopIsProper) {
       ids[v] = kMax - (order[v] - 1) * kStride;
     const auto res = linial_color(g, ids, kMax);
     EXPECT_TRUE(is_proper_coloring(g, res.colors, g.max_degree() + 1));
+  }
+}
+
+// Serial reference of linial_color: every step expands each polynomial
+// in full with `/` and `%` and evaluates it term by term for every x, then
+// the greedy class-order reduction finishes.
+LinialResult reference_linial(const Graph& g, const IdMap& ids,
+                              std::uint64_t id_space) {
+  const int delta = std::max(1, g.max_degree());
+  std::vector<std::uint64_t> color(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) color[v] = ids[v] - 1;
+  std::uint64_t K = id_space;
+  LinialResult ref;
+  while (linial_step_palette(K, delta) < K) {
+    const LinialStep sp = linial_step_params(K, delta);
+    const std::uint64_t q = sp.q;
+    const auto eval = [&](std::uint64_t c, std::uint64_t x) {
+      std::uint64_t value = 0;
+      std::uint64_t power = 1;  // x^i mod q
+      for (int i = 0; i <= sp.k; ++i) {
+        value = (value + (c % q) * power % q) % q;
+        c /= q;
+        power = power * x % q;
+      }
+      return value;
+    };
+    std::vector<std::uint64_t> next(color.size());
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      std::uint64_t x = 0;
+      for (;; ++x) {
+        bool ok = true;
+        for (int p = 0; p < g.degree(v) && ok; ++p) {
+          const std::uint64_t theirs = color[g.neighbor(v, p)];
+          ok = theirs == color[v] || eval(theirs, x) != eval(color[v], x);
+        }
+        if (ok) break;
+      }
+      EXPECT_LT(x, q);
+      next[v] = x * q + eval(color[v], x);
+    }
+    color = std::move(next);
+    K = q * q;
+    ++ref.linial_rounds;
+  }
+  NodeMap<int> classes(g, 0);
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    classes[v] = static_cast<int>(color[v]) + 1;
+  const ColorReduceResult reduced =
+      reference_class_greedy(g, classes, static_cast<int>(K));
+  ref.colors = reduced.colors;
+  ref.reduction_rounds = reduced.rounds;
+  return ref;
+}
+
+TEST(Linial, MatchesReferenceSimulation) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  constexpr std::uint64_t kStride = (std::uint64_t{1} << 32) + 15;
+  struct Instance {
+    std::string label;
+    Graph g;
+  };
+  std::vector<Instance> instances;
+  for (const int d : {1, 3, 9, 64}) {
+    instances.push_back({"regular d=" + std::to_string(d),
+                         build::family("regular", 160, d, 21)});
+    // The multigraph family with its self-loops dropped: parallel edges
+    // stay, and Linial needs a loop-free graph.
+    const Graph multi = build::family("multigraph", 160, d, 22);
+    GraphBuilder b;
+    b.add_nodes(multi.num_nodes());
+    for (EdgeId e = 0; e < multi.num_edges(); ++e) {
+      const auto [u, v] = multi.endpoints(e);
+      if (u != v) b.add_edge(u, v);
+    }
+    instances.push_back(
+        {"multigraph d=" + std::to_string(d), std::move(b).build()});
+  }
+  instances.push_back({"torus", build::family("torus", 160, 4, 0)});
+
+  for (const Instance& inst : instances) {
+    const Graph& g = inst.g;
+    const auto n = static_cast<std::uint64_t>(g.num_nodes());
+    const IdMap dense = shuffled_ids(g, 3);
+    IdMap top(g, 0);
+    for (NodeId v = 0; v < g.num_nodes(); ++v)
+      top[v] = kMax - (dense[v] - 1) * kStride;
+    const std::vector<std::tuple<std::string, IdMap, std::uint64_t>> menu = {
+        {"dense", dense, n},
+        {"sparse", sparse_ids(g, 4), sparse_id_space(n)},
+        {"top", top, kMax}};
+    for (const auto& [ids_label, ids, space] : menu) {
+      SCOPED_TRACE(inst.label + " ids=" + ids_label);
+      const LinialResult got = linial_color(g, ids, space);
+      const LinialResult want = reference_linial(g, ids, space);
+      EXPECT_TRUE(got.colors == want.colors);
+      EXPECT_EQ(got.linial_rounds, want.linial_rounds);
+      EXPECT_EQ(got.reduction_rounds, want.reduction_rounds);
+    }
   }
 }
 

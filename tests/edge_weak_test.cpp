@@ -7,6 +7,8 @@
 #include "lcl/checker.hpp"
 #include "lcl/problems/edge_coloring.hpp"
 #include "lcl/problems/weak_coloring.hpp"
+#include "local/ids.hpp"
+#include "support/check.hpp"
 
 namespace padlock {
 namespace {
@@ -78,6 +80,40 @@ TEST(LineGraph, DerivedIdsDistinctAndPolynomial) {
       EXPECT_NE(lids[static_cast<NodeId>(e)], lids[static_cast<NodeId>(f)]);
     }
   }
+}
+
+TEST(LineGraph, DerivedIdSpaceOverflowIsRejected) {
+  // id_space·(Δ+1) + Δ + 1 used to wrap: sparse_id_space(2^21) = 2^63 at
+  // Δ = 3 gave 4, and sparse_id_space(2^22) saturates at 2^64 - 1.
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  EXPECT_THROW(line_graph_id_space(sparse_id_space(1u << 21), 3),
+               ContractViolation);
+  EXPECT_THROW(line_graph_id_space(sparse_id_space(1u << 22), 3),
+               ContractViolation);
+  // The largest id space whose derived space fits at Δ = 3: 4·(2^62 - 2) + 4.
+  const std::uint64_t largest = (std::uint64_t{1} << 62) - 2;
+  EXPECT_EQ(line_graph_id_space(largest, 3), kMax - 3);
+  EXPECT_THROW(line_graph_id_space(largest + 1, 3), ContractViolation);
+  EXPECT_EQ(line_graph_id_space(sparse_id_space(1u << 20), 3),
+            sparse_id_space(1u << 20) * 4 + 4);
+
+  // One edge (Δ = 1, stride 2): the smaller id times 2, plus port + 1.
+  GraphBuilder b;
+  b.add_nodes(2);
+  b.add_edge(0, 1);
+  const Graph g = std::move(b).build();
+  const std::uint64_t half = std::uint64_t{1} << 63;
+  IdMap ids(g, 0);
+  ids[0] = half;
+  ids[1] = half - 1;
+  EXPECT_EQ(line_graph_ids(g, ids)[0], kMax);
+  ids[1] = half + 1;
+  EXPECT_THROW(line_graph_ids(g, ids), ContractViolation);
+  // The pair rejects the run instead of coloring on a wrapped palette.
+  ids[0] = 1;
+  ids[1] = 2;
+  EXPECT_THROW(edge_color_log_star(g, ids, sparse_id_space(1u << 21)),
+               ContractViolation);
 }
 
 // ---- edge coloring -----------------------------------------------------------
